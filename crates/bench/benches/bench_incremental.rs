@@ -15,7 +15,7 @@
 
 use clogic::{Session, SessionOptions, Strategy};
 use clogic_bench::graphs;
-use clogic_bench::measure::{dump_json, print_table, us};
+use clogic_bench::measure::{dump_json, report_path, print_table, us};
 use clogic_core::program::Program;
 use std::time::{Duration, Instant};
 
@@ -105,9 +105,9 @@ fn main() {
     );
     println!("\nspeedup (full / incremental): {speedup:.1}x");
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
+    let out = report_path("BENCH_incremental.json", test_mode);
     dump_json(
-        out,
+        &out,
         &[
             ("mode", format!("\"{}\"", if test_mode { "test" } else { "full" })),
             ("chains", chains.to_string()),
@@ -120,7 +120,7 @@ fn main() {
         ],
     )
     .expect("benchmark dump written");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
     if !test_mode {
         assert!(

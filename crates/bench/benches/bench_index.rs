@@ -30,7 +30,7 @@
 //! it.
 
 use clogic_bench::graphs;
-use clogic_bench::measure::{dump_json, print_table, run_bottom_up_with, us, Run};
+use clogic_bench::measure::{dump_json, report_path, print_table, run_bottom_up_with, us, Run};
 use folog::{FixpointOptions, IndexMode, IndexStats, Strategy};
 use std::time::Duration;
 
@@ -160,9 +160,9 @@ fn main() {
     println!("\nchain speedup (indexed over scan): {chain_speedup:.2}x");
     println!("load  speedup (indexed over scan): {load_speedup:.2}x");
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_index.json");
+    let out = report_path("BENCH_index.json", test_mode);
     dump_json(
-        out,
+        &out,
         &[
             ("mode", format!("\"{}\"", if test_mode { "test" } else { "full" })),
             ("chain_n", chain_n.to_string()),
@@ -191,7 +191,7 @@ fn main() {
         ],
     )
     .expect("dump BENCH_index.json");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
     // CI gate: the indices must actually pay off on the join-heavy chain.
     // Only enforced when the environment asks (local runs stay informative).

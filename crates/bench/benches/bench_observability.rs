@@ -15,7 +15,7 @@
 use clogic::obs::{MemorySubscriber, NullSubscriber, Obs};
 use clogic::{Session, SessionOptions, Strategy};
 use clogic_bench::graphs;
-use clogic_bench::measure::{dump_json, print_table, us};
+use clogic_bench::measure::{dump_json, report_path, print_table, us};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,9 +114,9 @@ fn main() {
         bound * 100.0
     );
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_observability.json");
+    let out = report_path("BENCH_observability.json", test_mode);
     dump_json(
-        out,
+        &out,
         &[
             ("mode", format!("\"{}\"", if test_mode { "test" } else { "full" })),
             ("chains", chains.to_string()),
@@ -129,5 +129,5 @@ fn main() {
         ],
     )
     .expect("benchmark dump written");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 }

@@ -16,7 +16,7 @@
 
 use clogic::{Session, SessionOptions, Strategy};
 use clogic_bench::graphs;
-use clogic_bench::measure::{dump_json, print_table, us};
+use clogic_bench::measure::{dump_json, report_path, print_table, us};
 use std::time::{Duration, Instant};
 
 const QUERY: &str = "path: P[src => c0n0, dest => D]";
@@ -137,9 +137,9 @@ fn main() {
     );
     println!("\nspeedup (full rebuild / retract): {speedup:.1}x");
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_retract.json");
+    let out = report_path("BENCH_retract.json", test_mode);
     dump_json(
-        out,
+        &out,
         &[
             ("mode", format!("\"{}\"", if test_mode { "test" } else { "full" })),
             ("chains", chains.to_string()),
@@ -152,7 +152,7 @@ fn main() {
         ],
     )
     .expect("benchmark dump written");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
     if !test_mode {
         let floor = std::env::var("BENCH_RETRACT_MIN_SPEEDUP")

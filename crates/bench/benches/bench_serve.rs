@@ -20,7 +20,7 @@
 use clogic::folog::Budget;
 use clogic::{Session, SessionOptions, Strategy};
 use clogic_bench::graphs;
-use clogic_bench::measure::{dump_json, print_table, us};
+use clogic_bench::measure::{dump_json, report_path, print_table, us};
 use clogic_serve::{ServeOptions, Server};
 use std::time::{Duration, Instant};
 
@@ -223,9 +223,9 @@ fn main() {
         pooled.queue_wait_us, pooled.eval_us, pooled.snapshot_epoch
     );
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+    let out = report_path("BENCH_serve.json", test_mode);
     dump_json(
-        out,
+        &out,
         &[
             ("mode", format!("\"{}\"", if test_mode { "test" } else { "full" })),
             ("chains", chains.to_string()),
@@ -255,7 +255,7 @@ fn main() {
         ],
     )
     .expect("dump BENCH_serve.json");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 
     // CI gate: the lock-free snapshot path must actually pay off. Only
     // enforced when the environment asks (local runs stay informative).

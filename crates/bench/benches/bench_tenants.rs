@@ -20,7 +20,7 @@
 
 use clogic::obs::{Json, Obs};
 use clogic::{SessionOptions, Strategy};
-use clogic_bench::measure::{dump_json, print_table, us};
+use clogic_bench::measure::{dump_json, report_path, print_table, us};
 use clogic::store::{ChaosStorage, Fault, MemStorage, RetryPolicy, Storage};
 use clogic_serve::protocol::get;
 use clogic_serve::{
@@ -268,9 +268,9 @@ fn main() {
          mean queue wait {qw_mean_us} us"
     );
 
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenants.json");
+    let out = report_path("BENCH_tenants.json", test_mode);
     dump_json(
-        out,
+        &out,
         &[
             ("mode", format!("\"{}\"", if test_mode { "test" } else { "full" })),
             ("tenants", tenants.to_string()),
@@ -297,5 +297,5 @@ fn main() {
         ],
     )
     .expect("dump BENCH_tenants.json");
-    println!("wrote {out}");
+    println!("wrote {}", out.display());
 }

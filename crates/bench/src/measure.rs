@@ -178,6 +178,19 @@ pub fn us(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e6)
 }
 
+/// Where a bench writes its JSON dump `file`: the committed reference at
+/// the repository root for a full run, `target/bench/` for a `--test`
+/// smoke run, so smoke runs never overwrite the committed numbers.
+pub fn report_path(file: &str, test_mode: bool) -> std::path::PathBuf {
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    if !test_mode {
+        return root.join(file);
+    }
+    let dir = root.join("target").join("bench");
+    std::fs::create_dir_all(&dir).expect("create target/bench");
+    dir.join(file)
+}
+
 /// Writes a flat JSON object to `path`. Each field's value is a raw
 /// JSON fragment the caller has already formatted (a number, or a
 /// string including its quotes) — enough for the benchmark dumps

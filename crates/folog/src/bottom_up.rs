@@ -17,7 +17,7 @@ use crate::ground::{TermId, TermStore};
 #[cfg(test)]
 use crate::program::CompiledProgram;
 use crate::program::{ClauseView, Rule};
-use crate::rterm::{RAtom, RTerm};
+use crate::rterm::{RAtom, RTerm, VarId};
 use clogic_core::fol::{FoAtom, FoClause, FoTerm};
 use clogic_core::symbol::Symbol;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -238,7 +238,7 @@ impl Evaluation {
         goals: &[RAtom],
         i: usize,
         env: &mut Env,
-        trail: &mut Vec<crate::rterm::VarId>,
+        trail: &mut Vec<VarId>,
         emit: &mut impl FnMut(&Env),
     ) {
         if i == goals.len() {
@@ -504,34 +504,7 @@ fn holds_ground_builtin(g: &FoAtom) -> Result<bool, EvalError> {
 /// O(answers) on point-ish queries against a saturated store. Answers
 /// are unaffected: the caller sorts and deduplicates them.
 fn order_query_goals(goals: &mut [RAtom], facts: &FactStore) {
-    fn collect_vars(t: &RTerm, out: &mut Vec<crate::rterm::VarId>) {
-        match t {
-            RTerm::Var(v) => out.push(*v),
-            RTerm::Const(_) => {}
-            RTerm::App(_, args) => {
-                for a in args {
-                    collect_vars(a, out);
-                }
-            }
-        }
-    }
-    fn term_bound(t: &RTerm, bound: &HashSet<crate::rterm::VarId>) -> bool {
-        let mut vs = Vec::new();
-        collect_vars(t, &mut vs);
-        vs.iter().all(|v| bound.contains(v))
-    }
-    // Mirrors the index families `candidate_rows` probes: a fully bound
-    // position (exact) or a compound with bound first argument (sub).
-    fn arg_indexable(t: &RTerm, bound: &HashSet<crate::rterm::VarId>) -> bool {
-        match t {
-            RTerm::Const(_) => true,
-            RTerm::Var(v) => bound.contains(v),
-            RTerm::App(_, args) => {
-                term_bound(t, bound) || args.first().is_some_and(|a| term_bound(a, bound))
-            }
-        }
-    }
-    let mut bound: HashSet<crate::rterm::VarId> = HashSet::new();
+    let mut bound: HashSet<VarId> = HashSet::new();
     for i in 0..goals.len() {
         let best = goals[i..]
             .iter()
@@ -539,10 +512,8 @@ fn order_query_goals(goals: &mut [RAtom], facts: &FactStore) {
             .min_by_key(|(_, g)| {
                 let mut vars = Vec::new();
                 for a in &g.args {
-                    collect_vars(a, &mut vars);
+                    a.collect_vars(&mut vars);
                 }
-                vars.sort_unstable();
-                vars.dedup();
                 let unbound = vars.iter().filter(|v| !bound.contains(v)).count();
                 let indexable = g.args.iter().any(|a| arg_indexable(a, &bound));
                 let size = facts
@@ -555,9 +526,29 @@ fn order_query_goals(goals: &mut [RAtom], facts: &FactStore) {
         goals.swap(i, best);
         let mut vars = Vec::new();
         for a in &goals[i].args {
-            collect_vars(a, &mut vars);
+            a.collect_vars(&mut vars);
         }
         bound.extend(vars);
+    }
+}
+
+/// Whether every variable of `t` is bound.
+fn term_bound(t: &RTerm, bound: &HashSet<VarId>) -> bool {
+    let mut vs = Vec::new();
+    t.collect_vars(&mut vs);
+    vs.iter().all(|v| bound.contains(v))
+}
+
+/// Whether an argument can drive an index probe once `bound` is: it
+/// mirrors the index families `candidate_rows` probes, a fully bound
+/// position (exact) or a compound with bound first argument (sub).
+fn arg_indexable(t: &RTerm, bound: &HashSet<VarId>) -> bool {
+    match t {
+        RTerm::Const(_) => true,
+        RTerm::Var(v) => bound.contains(v),
+        RTerm::App(_, args) => {
+            term_bound(t, bound) || args.first().is_some_and(|a| term_bound(a, bound))
+        }
     }
 }
 
@@ -1174,7 +1165,7 @@ pub(crate) fn eval_rule<P: ClauseView>(
     meter: &mut BudgetMeter,
 ) -> Result<(), EvalError> {
     let mut env: Env = vec![None; rule.n_vars as usize];
-    let mut trail: Vec<crate::rterm::VarId> = Vec::new();
+    let mut trail: Vec<VarId> = Vec::new();
     let order = plan_order(rule, delta_pos, program, facts);
     eval_body(
         rule, &order, 0, delta_pos, frontiers, facts, store, stats, program, &mut env, &mut trail,
@@ -1199,8 +1190,6 @@ pub(crate) fn plan_order<P: ClauseView>(
     program: &P,
     facts: &FactStore,
 ) -> Vec<usize> {
-    use crate::rterm::{RTerm, VarId};
-    use std::collections::HashSet;
     let n = rule.body.len();
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order: Vec<usize> = Vec::with_capacity(n);
@@ -1213,20 +1202,6 @@ pub(crate) fn plan_order<P: ClauseView>(
         }
         vs
     };
-    fn term_bound(t: &RTerm, bound: &HashSet<VarId>) -> bool {
-        let mut vs = Vec::new();
-        t.collect_vars(&mut vs);
-        vs.iter().all(|v| bound.contains(v))
-    }
-    fn arg_indexable(t: &RTerm, bound: &HashSet<VarId>) -> bool {
-        match t {
-            RTerm::Const(_) => true,
-            RTerm::Var(v) => bound.contains(v),
-            RTerm::App(_, args) => {
-                term_bound(t, bound) || args.first().is_some_and(|a| term_bound(a, bound))
-            }
-        }
-    }
     let builtin_ready = |j: usize, bound: &HashSet<VarId>| {
         let atom = &rule.body[j];
         match (atom.pred.as_str(), atom.args.len()) {
@@ -1288,7 +1263,7 @@ pub(crate) fn eval_body<P: ClauseView>(
     stats: &mut FixpointStats,
     program: &P,
     env: &mut Env,
-    trail: &mut Vec<crate::rterm::VarId>,
+    trail: &mut Vec<VarId>,
     out: &mut Vec<(Symbol, Vec<TermId>)>,
     meter: &mut BudgetMeter,
 ) -> Result<(), EvalError> {

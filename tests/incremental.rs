@@ -333,10 +333,10 @@ fn resumed_model_accumulates_stats_and_matches_fresh_session() {
     assert_eq!(warm.rendered(), scratch.rendered());
 }
 
-/// Negated conjunction queries push auxiliary clauses as a scratch
-/// overlay onto the shared compiled program and resume a clone of the
-/// cached model; neither the overlay nor the query-local `__naux…` facts
-/// may leak into later queries.
+/// Negated conjunction queries carry auxiliary clauses: SLD runs them
+/// over a scratch overlay of the shared compiled program, the bottom-up
+/// path checks them lazily against the cached model; neither the overlay
+/// nor the query-local `__naux…` facts may leak into later queries.
 #[test]
 fn negation_overlays_leave_no_residue() {
     let mut s = Session::new();
